@@ -51,6 +51,10 @@
 //       superlinearly (visible even at 1 thread), and shard solves run
 //       concurrently (visible in real_time only on a multi-core host — on
 //       a single-core box threads > 1 can only add scheduling overhead).
+//   (l) exact max-error DP — MAE on movie-linkage input, B = 16, n = 256
+//       (the repo benchmark's construct (g) size) and 1024, 1 and 4 lanes:
+//       the per-bucket Cost() fill (sweep = 0) vs the max-error oracle's
+//       incremental column sweep (sweep = 1). real_time rows.
 //
 // The restricted-wavelet series (e) carry the PR 4 acceptance point
 // n = 1024, B = 64: the arena-backed bottom-up solver vs the PR 3
@@ -61,6 +65,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <map>
@@ -74,6 +79,7 @@
 #include "core/wavelet_dp.h"
 #include "engine/synopsis_engine.h"
 #include "gen/generators.h"
+#include "model/induced.h"
 #include "stream/streaming_histogram.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -382,6 +388,60 @@ void BM_ExactDpSaeWarmSweep(benchmark::State& state) {
   state.counters["kernel"] = kernelized ? 1.0 : 0.0;
 }
 
+// (l) Exact MAE DP on movie-linkage input (the repo benchmark's construct
+// (g) data), B = 16: the per-bucket fill — one independent Cost() search
+// per bucket, through an oracle that keeps the default StartSweep
+// (sweep = 0) — vs the max-error oracle's incremental column sweep driven
+// by its kernel (sweep = 1), at 1 and 4 lanes. Both produce the same
+// tables bit for bit (tests/max_sweep_test.cc, dp_kernel_parity_test.cc).
+class PerBucketOracle final : public BucketCostOracle {
+ public:
+  explicit PerBucketOracle(const BucketCostOracle& inner) : inner_(inner) {}
+  std::size_t domain_size() const override { return inner_.domain_size(); }
+  BucketCost Cost(std::size_t s, std::size_t e) const override {
+    return inner_.Cost(s, e);
+  }
+
+ private:
+  const BucketCostOracle& inner_;
+};
+
+void BM_ExactDpMae(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::size_t lanes = static_cast<std::size_t>(state.range(1));
+  const bool sweep = state.range(2) != 0;
+  const std::size_t kBuckets = 16;
+
+  MovieLinkageOptions movie;
+  movie.domain_size = n;
+  movie.num_segments = std::max<std::size_t>(24, n / 256);
+  movie.seed = 20090401;
+  auto input = InduceValuePdf(GenerateMovieLinkage(movie));
+  PROBSYN_CHECK(input.ok());
+  SynopsisOptions options;
+  options.metric = ErrorMetric::kMae;
+  auto bundle = MakeBucketOracle(*input, options);
+  PROBSYN_CHECK(bundle.ok());
+  const PerBucketOracle per_bucket(*bundle->oracle);
+  ThreadPool pool(lanes > 1 ? lanes - 1 : 0);
+
+  DpWorkspace workspace;
+  DpKernelOptions dp_options;
+  dp_options.pool = lanes > 1 ? &pool : nullptr;
+  dp_options.workspace = &workspace;
+  const BucketCostOracle& oracle =
+      sweep ? *bundle->oracle : static_cast<const BucketCostOracle&>(per_bucket);
+  for (auto _ : state) {
+    HistogramDpResult dp = SolveHistogramDpWithKernel(
+        oracle, kBuckets, DpCombiner::kMax, dp_options);
+    benchmark::DoNotOptimize(dp.OptimalCost(kBuckets));
+  }
+  state.counters["n"] = static_cast<double>(n);
+  state.counters["lanes"] = static_cast<double>(lanes);
+  state.counters["B"] = static_cast<double>(kBuckets);
+  state.counters["sweep"] = sweep ? 1.0 : 0.0;
+}
+
 // (c) One batched cost-vs-B sweep vs repeated single builds.
 void BM_EngineSweep(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -549,6 +609,18 @@ BENCHMARK(probsyn::BM_ExactDpMaxCombiner)
     ->Args({4096, 1, 0})
     ->Args({4096, 1, 1})
     ->Unit(benchmark::kMillisecond);
+
+BENCHMARK(probsyn::BM_ExactDpMae)
+    ->Args({256, 1, 0})
+    ->Args({256, 1, 1})
+    ->Args({256, 4, 0})
+    ->Args({256, 4, 1})
+    ->Args({1024, 1, 0})
+    ->Args({1024, 1, 1})
+    ->Args({1024, 4, 0})
+    ->Args({1024, 4, 1})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 BENCHMARK(probsyn::BM_EngineSweep)
     ->Args({1024, 0})

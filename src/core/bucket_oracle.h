@@ -24,8 +24,9 @@ struct BucketCost {
 ///    exact tuple-pdf SSE oracle.
 ///  * `StartSweep(e)` — the DP's inner loop enumerates buckets [s, e] with
 ///    fixed right end and s descending from e to 0; sweeps let stateful
-///    oracles (exact tuple-pdf SSE) extend the bucket leftward in amortized
-///    O(1 + tuples touched) instead of recomputing from scratch.
+///    oracles extend the bucket leftward instead of recomputing from
+///    scratch — exact tuple-pdf SSE in amortized O(1 + tuples touched),
+///    max metrics by reusing probed envelope values and segment minima.
 class BucketCostOracle {
  public:
   virtual ~BucketCostOracle() = default;

@@ -1169,17 +1169,22 @@ struct AbsFiller {
   }
 };
 
-// MaxErrorOracle: per-bucket envelope minimization is irreducibly
-// O(n_b log(n_b |V|)); the kernel's win is the devirtualized concrete call
-// (the class is final) and skipping the per-column sweep allocation.
+// MaxErrorOracle: drive the concrete incremental FlatSweep directly — the
+// identical column sweep the oracle's own StartSweep runs
+// (core/max_oracle.cc), minus the virtual adapter. The sweep reuses each
+// bucket's probed envelope values and segment minima for the next, so a
+// column costs O(probed grid indices x j) plus the envelope rebuilds its
+// new lines force, instead of j independent O(n_b log(n_b |V|)) searches.
 struct MaxErrorFiller {
   const MaxErrorOracle* oracle;
 
   void Fill(std::size_t j, double* cost, double* rep) const {
-    for (std::size_t s = 0; s <= j; ++s) {
-      BucketCost c = oracle->Cost(s, j);
+    MaxErrorOracle::FlatSweep sweep(*oracle, j);
+    for (std::size_t s = j;; --s) {
+      BucketCost c = sweep.Extend();
       cost[s] = c.cost;
       rep[s] = c.representative;
+      if (s == 0) break;
     }
   }
 };
@@ -1347,24 +1352,37 @@ Status RunDp(const Filler& filler, std::size_t n, std::size_t cap,
     if (StopRequested(ctx)) {
       return ctx->StopStatus("exact-dp", "column", j0, n);
     }
-    // Chunks poll too (every 64 columns) and bail by SKIPPING their
-    // remaining columns: once a stop fires the whole table is abandoned,
-    // so partial columns are never read — the fan-out still joins, leaving
-    // no chunk running behind the caller's back.
-    PROBSYN_RETURN_IF_ERROR(
-        pool->ParallelFor(j0, j1, [&](std::size_t jb, std::size_t je) {
-          for (std::size_t j = jb; j < je; ++j) {
-            if (ctx != nullptr && ((j - jb) & 63u) == 0 &&
-                ctx->StopRequested()) {
-              return;
+    // A column's fill grows with j (O(j) for the prefix-sum fillers, more
+    // for the max-error sweep), so equal-count contiguous chunks would leave
+    // the lane holding the block's right end with most of the work. Lanes
+    // take the block's columns strided instead — lane k fills j0 + k,
+    // j0 + k + lanes, ... — which gives every lane the same share of
+    // short and long columns whatever the per-column cost curve. Each
+    // column is still one independent Fill into its own slots, so the
+    // tables do not depend on the assignment. Lanes poll too (every 64
+    // columns) and bail by SKIPPING their remaining columns: once a stop
+    // fires the whole table is abandoned, so partial columns are never
+    // read — the fan-out still joins, leaving no lane running behind the
+    // caller's back.
+    const std::size_t fill_lanes = std::min(pool->num_threads() + 1, j1 - j0);
+    PROBSYN_RETURN_IF_ERROR(pool->ParallelFor(
+        0, fill_lanes, [&](std::size_t lane_begin, std::size_t lane_end) {
+          for (std::size_t lane = lane_begin; lane < lane_end; ++lane) {
+            std::size_t filled = 0;
+            for (std::size_t j = j0 + lane; j < j1; j += fill_lanes) {
+              if (ctx != nullptr && (filled++ & 63u) == 0 &&
+                  ctx->StopRequested()) {
+                return;
+              }
+              double* costcol = &cost_block[(j - j0) * n];
+              double* repcol = &rep_block[(j - j0) * n];
+              filler.Fill(j, costcol, repcol);
+              if (track_bounds) {
+                fill_cost_cmin(costcol, j,
+                               &cost_cmin_block[(j - j0) * nchunks]);
+              }
+              first_layer(j, costcol, repcol);
             }
-            double* costcol = &cost_block[(j - j0) * n];
-            double* repcol = &rep_block[(j - j0) * n];
-            filler.Fill(j, costcol, repcol);
-            if (track_bounds) {
-              fill_cost_cmin(costcol, j, &cost_cmin_block[(j - j0) * nchunks]);
-            }
-            first_layer(j, costcol, repcol);
           }
         }));
     if (StopRequested(ctx)) {

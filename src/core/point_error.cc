@@ -103,23 +103,6 @@ double PointErrorTables::AbsoluteRelativeError(std::size_t i, double v) const {
   return AbsErrorImpl(i, v, /*relative=*/true);
 }
 
-Line PointErrorTables::AbsoluteErrorLine(std::size_t i, std::size_t l,
-                                         bool relative) const {
-  const double* cw = relative ? &cw_rel_[i * grid_size_] : &cw_abs_[i * grid_size_];
-  const double* cwv =
-      relative ? &cwv_rel_[i * grid_size_] : &cwv_abs_[i * grid_size_];
-  double tw = cw[grid_size_ - 1];
-  double twv = cwv[grid_size_ - 1];
-  if (l == static_cast<std::size_t>(-1)) {
-    // Left of the whole grid: f_i(v) = sum w (v_j - v) = twv - v * tw.
-    return Line{-tw, twv};
-  }
-  PROBSYN_DCHECK(l < grid_size_);
-  // f_i(v) = v (2 CW[l] - TW) + (TWV - 2 CWV[l]) for v in
-  // [grid[l], grid[l+1]] (or beyond the last grid point when l = K-1).
-  return Line{2.0 * cw[l] - tw, twv - 2.0 * cwv[l]};
-}
-
 double PointErrorTables::ExpectedPointError(ErrorMetric metric, std::size_t i,
                                             double v) const {
   switch (metric) {

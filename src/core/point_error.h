@@ -1,12 +1,14 @@
 #ifndef PROBSYN_CORE_POINT_ERROR_H_
 #define PROBSYN_CORE_POINT_ERROR_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
 #include "core/metrics.h"
 #include "model/value_pdf.h"
 #include "util/envelope.h"
+#include "util/logging.h"
 #include "util/status.h"
 
 namespace probsyn {
@@ -73,8 +75,34 @@ class PointErrorTables {
   /// The linear piece of f_i on segment [grid[l], grid[l+1]] for the
   /// absolute error (relative == true applies the 1/max(c, g) weight).
   /// l == size_t(-1) (left of the grid) and l == |V|-1 (right of it) give
-  /// the outer rays. Used by the max-error oracle's envelope step.
-  Line AbsoluteErrorLine(std::size_t i, std::size_t l, bool relative) const;
+  /// the outer rays. Used by the max-error oracle's envelope step. Inline,
+  /// like AbsoluteErrorAtGridIndex, because that oracle's sweep evaluates
+  /// it once per (item, probed grid index).
+  Line AbsoluteErrorLine(std::size_t i, std::size_t l, bool relative) const {
+    const double* cw =
+        relative ? &cw_rel_[i * grid_size_] : &cw_abs_[i * grid_size_];
+    const double* cwv =
+        relative ? &cwv_rel_[i * grid_size_] : &cwv_abs_[i * grid_size_];
+    const double tw = cw[grid_size_ - 1];
+    const double twv = cwv[grid_size_ - 1];
+    if (l == static_cast<std::size_t>(-1)) {
+      // Left of the whole grid: f_i(v) = sum w (v_j - v) = twv - v * tw.
+      return Line{-tw, twv};
+    }
+    PROBSYN_DCHECK(l < grid_size_);
+    // f_i(v) = v (2 CW[l] - TW) + (TWV - 2 CWV[l]) for v in
+    // [grid[l], grid[l+1]] (or beyond the last grid point when l = K-1).
+    return Line{2.0 * cw[l] - tw, twv - 2.0 * cwv[l]};
+  }
+
+  /// AbsoluteError(i, grid[l]) (relative: AbsoluteRelativeError), addressed
+  /// by grid index. SegmentOf(grid[l]) == l on the strictly increasing
+  /// grid, so this is the same arithmetic without the binary search, and
+  /// the result is bit-identical.
+  double AbsoluteErrorAtGridIndex(std::size_t i, std::size_t l,
+                                  bool relative) const {
+    return std::max(0.0, AbsoluteErrorLine(i, l, relative).At(grid_[l]));
+  }
 
  private:
   double AbsErrorImpl(std::size_t i, double v, bool relative) const;

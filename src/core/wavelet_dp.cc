@@ -169,8 +169,32 @@ class WaveletDpSolver {
           std::to_string(max_workspace_bytes_) + ")");
     }
     PROBSYN_RETURN_IF_ERROR(MaybeInjectFault(FaultSite::kWorkspaceAlloc));
-    GrowTo(arena_->best, total, arena_->grow_events);
-    GrowTo(arena_->decision, total, arena_->grow_events);
+    PROBSYN_RETURN_IF_ERROR(GrowPolled(arena_->best, total));
+    return GrowPolled(arena_->decision, total);
+  }
+
+  // Grow-only resize of an O(n^2 B) arena table, in bounded steps with a
+  // stop poll before each. resize value-initializes the new tail, and on a
+  // cold arena that first touch costs tens of milliseconds — a cancel must
+  // not wait it out. FillStates overwrites every entry of every state
+  // before anything reads it, so a table that must move to a larger
+  // allocation is dropped rather than copied.
+  template <typename T>
+  Status GrowPolled(std::vector<T>& table, std::size_t size) {
+    if (size > table.capacity()) {
+      ++arena_->grow_events;
+      table.clear();
+      table.reserve(size);
+    }
+    constexpr std::size_t kStep = std::size_t{1} << 18;
+    while (table.size() < size) {
+      if (StopRequested(ctx_)) {
+        return ctx_->StopStatus("wavelet-dp", "arena entry", table.size(),
+                                size);
+      }
+      table.resize(std::min(size, table.size() + kStep));
+    }
+    table.resize(size);  // a larger earlier solve left it longer
     return Status::OK();
   }
 

@@ -18,27 +18,36 @@ double IntersectX(const Line& a, const Line& b) {
 
 EnvelopeMin MinimizeUpperEnvelope(std::span<const Line> lines, double lo,
                                   double hi) {
+  EnvelopeScratch scratch;
+  return MinimizeUpperEnvelope(lines, lo, hi, scratch);
+}
+
+EnvelopeMin MinimizeUpperEnvelope(std::span<const Line> lines, double lo,
+                                  double hi, EnvelopeScratch& scratch) {
   PROBSYN_CHECK(!lines.empty());
   PROBSYN_CHECK(lo <= hi);
 
   // Sort by slope; among equal slopes only the highest intercept can be on
-  // the upper envelope.
-  std::vector<Line> sorted(lines.begin(), lines.end());
+  // the upper envelope, so keep the first line of each slope run.
+  std::vector<Line>& sorted = scratch.sorted;
+  sorted.assign(lines.begin(), lines.end());
   std::sort(sorted.begin(), sorted.end(), [](const Line& a, const Line& b) {
     if (a.slope != b.slope) return a.slope < b.slope;
     return a.intercept > b.intercept;
   });
-  std::vector<Line> dedup;
-  dedup.reserve(sorted.size());
+  std::size_t kept = 0;
   for (const Line& l : sorted) {
-    if (dedup.empty() || dedup.back().slope != l.slope) dedup.push_back(l);
+    if (kept == 0 || sorted[kept - 1].slope != l.slope) sorted[kept++] = l;
   }
+  sorted.resize(kept);
 
   // Build the upper envelope (convex) with a monotone stack. hull[i] is
   // active on [knot[i], knot[i+1]); knots are the pairwise intersections.
-  std::vector<Line> hull;
-  std::vector<double> knots;  // knots[i] = start x of hull[i]; knots[0]=-inf.
-  for (const Line& l : dedup) {
+  std::vector<Line>& hull = scratch.hull;
+  std::vector<double>& knots = scratch.knots;  // knots[0] = -inf.
+  hull.clear();
+  knots.clear();
+  for (const Line& l : sorted) {
     double start = -std::numeric_limits<double>::infinity();
     while (!hull.empty()) {
       start = IntersectX(hull.back(), l);
@@ -64,16 +73,17 @@ EnvelopeMin MinimizeUpperEnvelope(std::span<const Line> lines, double lo,
     auto it = std::upper_bound(knots.begin(), knots.end(), x);
     std::size_t idx = static_cast<std::size_t>(it - knots.begin());
     PROBSYN_DCHECK(idx >= 1);
-    return hull[idx - 1].At(x);
+    const Line& active = hull[idx - 1];
+    return EnvelopeMin{x, active.At(x), active};
   };
 
-  EnvelopeMin best{lo, eval(lo)};
-  double at_hi = eval(hi);
-  if (at_hi < best.value) best = {hi, at_hi};
+  EnvelopeMin best = eval(lo);
+  EnvelopeMin at_hi = eval(hi);
+  if (at_hi.value < best.value) best = at_hi;
   for (double k : knots) {
     if (k > lo && k < hi) {
-      double v = eval(k);
-      if (v < best.value) best = {k, v};
+      EnvelopeMin at_k = eval(k);
+      if (at_k.value < best.value) best = at_k;
     }
   }
   return best;

@@ -18,6 +18,7 @@ struct Line {
 struct EnvelopeMin {
   double x = 0.0;      ///< argmin.
   double value = 0.0;  ///< min of max_i line_i(x).
+  Line line;           ///< The envelope's active line at x: value = line.At(x).
 };
 
 /// Exactly minimizes max_i (a_i x + b_i) over x in [lo, hi].
@@ -33,6 +34,19 @@ struct EnvelopeMin {
 /// Requires at least one line; lo <= hi.
 EnvelopeMin MinimizeUpperEnvelope(std::span<const Line> lines, double lo,
                                   double hi);
+
+/// Reusable working buffers of MinimizeUpperEnvelope. A caller that
+/// minimizes many envelopes (the max-error oracle's bucket sweep) keeps one
+/// and allocates nothing once it has grown to the largest line count.
+struct EnvelopeScratch {
+  std::vector<Line> sorted;
+  std::vector<Line> hull;
+  std::vector<double> knots;
+};
+
+/// Same computation as above (bit-identical result) over `scratch`.
+EnvelopeMin MinimizeUpperEnvelope(std::span<const Line> lines, double lo,
+                                  double hi, EnvelopeScratch& scratch);
 
 }  // namespace probsyn
 

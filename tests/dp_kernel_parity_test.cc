@@ -19,7 +19,9 @@
 #include "core/wavelet_unrestricted.h"
 #include "engine/synopsis_engine.h"
 #include "gen/generators.h"
+#include "model/induced.h"
 #include "model/value_pdf.h"
+#include "test_util.h"
 #include "util/thread_pool.h"
 
 namespace probsyn {
@@ -175,6 +177,112 @@ INSTANTIATE_TEST_SUITE_P(
         ParityCase{ErrorMetric::kMare, SseVariant::kWorldMean, 0.5, 111,
                    false}),
     ParityCaseName);
+
+// --- Pooled exact max-error DP -------------------------------------------
+
+// Forwards Cost() and keeps the default StartSweep, so the reference DP
+// fills every column with independent per-bucket Cost() searches — the
+// baseline the max-error oracle's incremental sweep must reproduce.
+class PerBucketOracle final : public BucketCostOracle {
+ public:
+  explicit PerBucketOracle(const BucketCostOracle& inner) : inner_(inner) {}
+  std::size_t domain_size() const override { return inner_.domain_size(); }
+  BucketCost Cost(std::size_t s, std::size_t e) const override {
+    return inner_.Cost(s, e);
+  }
+
+ private:
+  const BucketCostOracle& inner_;
+};
+
+ValuePdfInput MovieValuePdf(std::size_t n, std::uint64_t seed) {
+  MovieLinkageOptions movie;
+  movie.domain_size = n;
+  movie.seed = seed;
+  auto induced = InduceValuePdf(GenerateMovieLinkage(movie));
+  EXPECT_TRUE(induced.ok()) << induced.status();
+  return std::move(induced).value();
+}
+
+HistogramDpResult SolveMaxDp(const BucketCostOracle& oracle,
+                             std::size_t budget, DpKernelKind kind,
+                             std::size_t lanes) {
+  ThreadPool pool(lanes - 1);
+  DpKernelOptions options;
+  options.kernel = kind;
+  options.pool = lanes > 1 ? &pool : nullptr;
+  return SolveHistogramDpWithKernel(oracle, budget, DpCombiner::kMax,
+                                    options);
+}
+
+void ExpectSameHistograms(const HistogramDpResult& expected,
+                          const HistogramDpResult& actual,
+                          const std::string& label) {
+  for (std::size_t b = 1; b <= expected.table_layers(); ++b) {
+    EXPECT_EQ(expected.ExtractHistogram(b).buckets(),
+              actual.ExtractHistogram(b).buckets())
+        << label << " B=" << b;
+  }
+}
+
+// n = 256 (the repo benchmark's exact-MAE size): the kernel's sweep under
+// the strided fill fan-out, at every lane count and SIMD path, and the
+// reference kernel over the virtual sweep, all equal the per-bucket Cost()
+// tables bit for bit.
+TEST(PooledMaxErrorParity, MatchesPerBucketCostAcrossLanesAndSimd) {
+  const ValuePdfInput input = MovieValuePdf(256, 41);
+  for (ErrorMetric metric : {ErrorMetric::kMae, ErrorMetric::kMare}) {
+    SynopsisOptions options;
+    options.metric = metric;
+    options.sanity_c = 0.5;
+    auto bundle = MakeBucketOracle(input, options);
+    ASSERT_TRUE(bundle.ok()) << bundle.status();
+    ASSERT_EQ(bundle->kernel, DpKernelKind::kMaxError);
+    const std::string name = ErrorMetricName(metric);
+    const PerBucketOracle per_bucket(*bundle->oracle);
+    const HistogramDpResult baseline =
+        SolveMaxDp(per_bucket, 16, DpKernelKind::kReference, 1);
+
+    for (std::size_t lanes : {1u, 2u, 4u, 8u}) {
+      const std::string label = name + "/lanes=" + std::to_string(lanes);
+      HistogramDpResult kernel =
+          SolveMaxDp(*bundle->oracle, 16, DpKernelKind::kAuto, lanes);
+      EXPECT_EQ(kernel.kernel(), DpKernelKind::kMaxError);
+      ExpectBitIdenticalTables(baseline, kernel, label);
+      ExpectSameHistograms(baseline, kernel, label);
+    }
+    ExpectBitIdenticalTables(
+        baseline, SolveMaxDp(*bundle->oracle, 16, DpKernelKind::kReference, 4),
+        name + "/reference-sweep/lanes=4");
+    for (SimdPath path : testing::SupportedSimdPaths()) {
+      testing::ScopedSimdPath forced(path);
+      ExpectBitIdenticalTables(
+          baseline, SolveMaxDp(*bundle->oracle, 16, DpKernelKind::kAuto, 4),
+          name + "/simd=" + SimdPathName(path));
+    }
+  }
+}
+
+// n = 1100 spans three parallel column blocks ([0, 512), [512, 1024),
+// [1024, 1100)) and three kMax chunk-bound chunks, so the strided lanes
+// cross every block and chunk boundary; pooled tables must equal the
+// sequential ones bit for bit at every lane count. The fan-out does not
+// depend on the filler, so MAE (the faster sweep at this size) covers it.
+TEST(PooledMaxErrorParity, CrossesBlockAndChunkBoundaries) {
+  SynopsisOptions options;
+  options.metric = ErrorMetric::kMae;
+  auto bundle = MakeBucketOracle(MovieValuePdf(1100, 43), options);
+  ASSERT_TRUE(bundle.ok()) << bundle.status();
+  const HistogramDpResult sequential =
+      SolveMaxDp(*bundle->oracle, 8, DpKernelKind::kAuto, 1);
+  for (std::size_t lanes : {2u, 4u, 8u}) {
+    const std::string label = "MAE/lanes=" + std::to_string(lanes);
+    HistogramDpResult pooled =
+        SolveMaxDp(*bundle->oracle, 8, DpKernelKind::kAuto, lanes);
+    ExpectBitIdenticalTables(sequential, pooled, label);
+    ExpectSameHistograms(sequential, pooled, label);
+  }
+}
 
 TEST(DpKernelParity, TupleSseWorldMeanSweepKernel) {
   TuplePdfInput input = GenerateRandomTuplePdf(

@@ -243,17 +243,39 @@ void ExpectPromptCancel(const SynopsisEngine& engine, const CancelProbe& probe,
   EXPECT_EQ(engine.workspace_pool_stats().outstanding, 0u) << route;
 }
 
+// Cancels `request` mid-solve on a cold engine — a fresh one, whose first
+// build still grows its workspaces — and on a warm one that has already
+// served `warmup` under the same request. Both must unwind within the
+// bound: which of the two a route's only test used to exercise depended on
+// what ran before it.
+void ExpectPromptCancelColdAndWarm(const ValuePdfInput& input,
+                                   const ValuePdfInput& warmup,
+                                   const SynopsisRequest& request,
+                                   double delay_seconds, const char* route) {
+  {
+    SCOPED_TRACE("cold engine");
+    SynopsisEngine engine;
+    ExpectPromptCancel(
+        engine, CancelMidSolve(engine, input, request, delay_seconds), route);
+  }
+  {
+    SCOPED_TRACE("warm engine");
+    SynopsisEngine engine;
+    auto warm = engine.Build(warmup, request);
+    ASSERT_TRUE(warm.ok()) << route << ": " << warm.status();
+    ExpectPromptCancel(
+        engine, CancelMidSolve(engine, input, request, delay_seconds), route);
+  }
+}
+
 TEST(Robustness, MidSolveCancellationExactDp) {
-  SynopsisEngine engine;
   SynopsisRequest request;
   request.budget = 64;
-  ExpectPromptCancel(
-      engine, CancelMidSolve(engine, MidSolveInput(), request, 0.02),
-      "exact-dp");
+  ExpectPromptCancelColdAndWarm(MidSolveInput(), MidSolveInput(), request,
+                                0.02, "exact-dp");
 }
 
 TEST(Robustness, MidSolveCancellationApproxDp) {
-  SynopsisEngine engine;
   static const ValuePdfInput input =
       GenerateRandomValuePdf({.domain_size = 16384, .seed = 23});
   SynopsisRequest request;
@@ -261,12 +283,10 @@ TEST(Robustness, MidSolveCancellationApproxDp) {
   request.budget = 32;
   request.epsilon = 0.1;
   request.sharding.mode = RequestSharding::Mode::kOff;
-  ExpectPromptCancel(engine, CancelMidSolve(engine, input, request, 0.02),
-                     "approx-dp");
+  ExpectPromptCancelColdAndWarm(input, input, request, 0.02, "approx-dp");
 }
 
 TEST(Robustness, MidSolveCancellationShardedDp) {
-  SynopsisEngine engine;
   static const ValuePdfInput input =
       GenerateRandomValuePdf({.domain_size = 16384, .seed = 29});
   SynopsisRequest request;
@@ -274,28 +294,29 @@ TEST(Robustness, MidSolveCancellationShardedDp) {
   request.budget = 32;
   request.epsilon = 0.1;
   request.sharding.mode = RequestSharding::Mode::kOn;
-  ExpectPromptCancel(engine, CancelMidSolve(engine, input, request, 0.02),
-                     "sharded-dp");
+  ExpectPromptCancelColdAndWarm(input, input, request, 0.02, "sharded-dp");
 }
 
 TEST(Robustness, MidSolveCancellationStreaming) {
   // Streaming pushes cost ~150us each at this scale, so the full pass
-  // takes ~15s: the cancel must land mid-stream and unwind promptly.
-  SynopsisEngine engine;
+  // takes ~15s: the cancel must land mid-stream and unwind promptly. The
+  // builder's per-push state does not grow with n, so a 2000-item prefix
+  // warms the engine as well as the full stream would.
   static const ValuePdfInput input =
       GenerateRandomValuePdf({.domain_size = 100000, .seed = 61});
+  static const ValuePdfInput prefix(std::vector<ValuePdf>(
+      input.items().begin(), input.items().begin() + 2000));
   SynopsisRequest request;
   request.method = HistogramMethod::kStreaming;
   request.budget = 32;
   request.epsilon = 0.1;
   request.options.sse_variant = SseVariant::kFixedRepresentative;
-  ExpectPromptCancel(engine, CancelMidSolve(engine, input, request, 0.05),
-                     "streaming");
+  ExpectPromptCancelColdAndWarm(input, prefix, request, 0.05, "streaming");
 }
 
 TEST(Robustness, MidSolveCancellationRestrictedWaveletDp) {
-  // ~200ms solve (measured): the 20ms cancel lands well inside it.
-  SynopsisEngine engine;
+  // ~200ms solve (measured): the 20ms cancel lands well inside it — on a
+  // cold engine, inside the O(n^2 B) arena growth.
   static const ValuePdfInput input =
       GenerateRandomValuePdf({.domain_size = 2048, .seed = 37});
   SynopsisRequest request;
@@ -303,13 +324,12 @@ TEST(Robustness, MidSolveCancellationRestrictedWaveletDp) {
   request.wavelet_method = WaveletMethod::kRestrictedDp;
   request.wavelet_max_domain = 4096;
   request.budget = 48;
-  ExpectPromptCancel(engine, CancelMidSolve(engine, input, request, 0.02),
-                     "restricted-dp");
+  ExpectPromptCancelColdAndWarm(input, input, request, 0.02,
+                                "restricted-dp");
 }
 
 TEST(Robustness, MidSolveCancellationUnrestrictedWaveletDp) {
   // ~370ms solve (measured): the 20ms cancel lands well inside it.
-  SynopsisEngine engine;
   static const ValuePdfInput input =
       GenerateRandomValuePdf({.domain_size = 1024, .seed = 41});
   SynopsisRequest request;
@@ -317,8 +337,8 @@ TEST(Robustness, MidSolveCancellationUnrestrictedWaveletDp) {
   request.wavelet_method = WaveletMethod::kUnrestrictedDp;
   request.budget = 24;
   request.unrestricted.grid_points = 129;
-  ExpectPromptCancel(engine, CancelMidSolve(engine, input, request, 0.02),
-                     "unrestricted-dp");
+  ExpectPromptCancelColdAndWarm(input, input, request, 0.02,
+                                "unrestricted-dp");
 }
 
 // --- Degradation ladder --------------------------------------------------
