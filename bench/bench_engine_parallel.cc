@@ -13,7 +13,9 @@
 //       (one oracle, one DP, one workspace) vs 15 independent Build calls.
 //   (d) approximate-DP point-cost kernels — reference virtual Cost() per
 //       candidate vs the devirtualized evaluator (SSE's inlined prefix
-//       subtractions, SAE's inlined convex search), kernel = 0 vs 1.
+//       subtractions, SAE's inlined convex search), kernel = 0 vs 1, and
+//       the kernel with each budget layer's columns fanned out over 4
+//       lanes (bit-identical outputs). real_time rows.
 //   (e) wavelet budget-split kernels — the restricted and unrestricted
 //       coefficient-tree DPs with the reference scalar split scan
 //       (kernel = 0) vs MinBudgetSplit's chunked min-reduction / monotone
@@ -142,10 +144,12 @@ void BM_ExactDpMaxCombiner(benchmark::State& state) {
 }
 
 // (d) The approximate DP's sparse candidate evaluations: virtual Cost()
-// (kernelized = 0) vs the devirtualized point-cost kernel (kernelized = 1).
+// (kernelized = 0) vs the devirtualized point-cost kernel (kernelized = 1),
+// sequential (lanes = 1) vs the per-layer column fan-out (lanes > 1).
 void RunApproxDp(benchmark::State& state, ErrorMetric metric) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const bool kernelized = state.range(1) != 0;
+  const std::size_t lanes = static_cast<std::size_t>(state.range(2));
   const std::size_t kBuckets = 64;
   const double kEpsilon = 0.1;
 
@@ -156,7 +160,9 @@ void RunApproxDp(benchmark::State& state, ErrorMetric metric) {
   auto bundle = MakeBucketOracle(input, options);
   PROBSYN_CHECK(bundle.ok());
 
+  ThreadPool pool(lanes > 1 ? lanes - 1 : 0);
   ApproxDpKernelOptions kernel_options;
+  kernel_options.pool = lanes > 1 ? &pool : nullptr;
   kernel_options.kernel =
       kernelized ? DpKernelKind::kAuto : DpKernelKind::kReference;
   std::size_t evaluations = 0;
@@ -171,6 +177,7 @@ void RunApproxDp(benchmark::State& state, ErrorMetric metric) {
   state.counters["B"] = static_cast<double>(kBuckets);
   state.counters["eps"] = kEpsilon;
   state.counters["kernel"] = kernelized ? 1.0 : 0.0;
+  state.counters["lanes"] = static_cast<double>(lanes);
   state.counters["evaluations"] = static_cast<double>(evaluations);
 }
 
@@ -628,14 +635,18 @@ BENCHMARK(probsyn::BM_EngineSweep)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(probsyn::BM_ApproxDpSse)
-    ->Args({4096, 0})
-    ->Args({4096, 1})
-    ->Unit(benchmark::kMillisecond);
+    ->Args({4096, 0, 1})
+    ->Args({4096, 1, 1})
+    ->Args({4096, 1, 4})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 BENCHMARK(probsyn::BM_ApproxDpSae)
-    ->Args({1024, 0})
-    ->Args({1024, 1})
-    ->Unit(benchmark::kMillisecond);
+    ->Args({1024, 0, 1})
+    ->Args({1024, 1, 1})
+    ->Args({1024, 1, 4})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 BENCHMARK(probsyn::BM_WaveletRestrictedDpMae)
     ->Args({128, 64, 0})

@@ -1591,17 +1591,21 @@ struct TupleSsePointCost {
   }
 };
 
+// Columns per work unit of the approximate DP's per-layer fan-out: lanes
+// take fixed blocks round-robin and poll once per block.
+constexpr std::size_t kApproxColumnBlock = 64;
+
 // The approximate-DP driver, shared by every point-cost kernel: identical
 // control flow, comparisons, and evaluation counting in every
 // configuration, so bit-identical cost evaluations imply bit-identical
 // histograms, costs, and oracle_evaluations.
 template <typename CostFn>
-StatusOr<ApproxHistogramResult> RunApproxDp(const BucketCostOracle& oracle,
-                                            const CostFn& cost_fn,
-                                            std::size_t max_buckets,
-                                            double epsilon,
-                                            DpKernelKind kind,
-                                            const ExecContext* ctx) {
+StatusOr<ApproxHistogramResult> RunApproxDp(
+    const BucketCostOracle& oracle, const CostFn& cost_fn,
+    std::size_t max_buckets, double epsilon, DpKernelKind kind,
+    const ApproxDpKernelOptions& options) {
+  ThreadPool* pool = options.pool;
+  const ExecContext* ctx = options.context;
   const std::size_t n = oracle.domain_size();
   if (n == 0) return Status::InvalidArgument("empty domain");
   if (max_buckets < 1) return Status::InvalidArgument("need >= 1 bucket");
@@ -1613,11 +1617,16 @@ StatusOr<ApproxHistogramResult> RunApproxDp(const BucketCostOracle& oracle,
   // eps <= 1. Larger eps values still yield a valid (coarser) guarantee.
   const double delta =
       std::min(0.5, epsilon / (2.0 * static_cast<double>(cap)));
+  if (StopRequested(ctx)) {
+    return ctx->StopStatus("approx-dp", "budget layer", 1, cap);
+  }
 
   std::size_t evaluations = 0;
 
-  std::vector<std::vector<std::int64_t>> choice(
-      cap, std::vector<std::int64_t>(n, HistogramDpResult::kWholePrefix));
+  // choice[b-1] is allocated when layer b starts (every column writes its
+  // cell), so a stop never waits out an O(cap n) fill of rows it will not
+  // reach. Row 0 stays empty: layer 1 has no split to trace.
+  std::vector<std::vector<std::int64_t>> choice(cap);
   constexpr std::int64_t kInherit = -2;
 
   std::vector<double> prev(n), cur(n);
@@ -1641,7 +1650,82 @@ StatusOr<ApproxHistogramResult> RunApproxDp(const BucketCostOracle& oracle,
   constexpr bool kBulk = requires { CostFn::kBulkColumn; };
   std::vector<std::size_t> candidates;
   [[maybe_unused]] ApproxCandidateGather gather;
-  [[maybe_unused]] std::vector<double> candidate_values;
+
+  // Within a layer every column reads only prev, the candidates, and the
+  // gather, and writes only its own cur/choice cells, so the columns fan
+  // out over the pool. A column's cost grows with its count of valid
+  // candidates (monotone in j), so lanes take fixed-size blocks
+  // round-robin — lane k gets blocks k, k + lanes, ... — rather than one
+  // contiguous range each. Each lane owns its candidate-value scratch and
+  // evaluation count (summed after the join), and each column runs the
+  // identical computation whichever lane owns it, so every configuration
+  // is bit-identical to the sequential solve. Lanes poll once per block
+  // and skip their remaining blocks on a stop: the layer is abandoned.
+  const std::size_t nblocks =
+      (n + kApproxColumnBlock - 1) / kApproxColumnBlock;
+  const std::size_t lanes =
+      pool == nullptr ? 1 : std::min(pool->num_threads() + 1, nblocks);
+  std::vector<std::size_t> lane_evaluations(lanes);
+  [[maybe_unused]] std::vector<std::vector<double>> lane_values(
+      kBulk ? lanes : 0);
+  std::int64_t* choice_row = nullptr;
+  auto fill_lane = [&](std::size_t lane) {
+    std::size_t lane_evals = 0;
+    for (std::size_t block = lane; block < nblocks; block += lanes) {
+      if (StopRequested(ctx)) break;
+      const std::size_t j0 = block * kApproxColumnBlock;
+      const std::size_t j1 = std::min(n, j0 + kApproxColumnBlock);
+      // Candidates with l < j; monotone in j.
+      std::size_t valid = static_cast<std::size_t>(
+          std::lower_bound(candidates.begin(), candidates.end(), j0) -
+          candidates.begin());
+      for (std::size_t j = j0; j < j1; ++j) {
+        while (valid < candidates.size() && candidates[valid] < j) ++valid;
+        double best = prev[j];  // Inherit: fewer buckets already optimal.
+        std::int64_t best_choice = kInherit;
+        if constexpr (kBulk) {
+          // Fused column evaluation + SIMD min, then the reference
+          // tie-break: first candidate attaining the minimum, inherit
+          // winning all ties (strict <) — identical to the sequential
+          // compare-per-candidate scan, since FP min is exact in any order.
+          double* values = lane_values[lane].data();
+          const double m = cost_fn.BulkMin(gather, valid, j, values);
+          lane_evals += valid;
+          if (m < best) {
+            best = m;
+            for (std::size_t i = 0; i < valid; ++i) {
+              if (values[i] == m) {
+                best_choice = static_cast<std::int64_t>(candidates[i]);
+                break;
+              }
+            }
+          }
+        } else {
+          for (std::size_t i = 0; i < valid; ++i) {
+            const std::size_t l = candidates[i];
+            const double v = prev[l] + cost_fn.Cost(l + 1, j);
+            ++lane_evals;
+            if (v < best) {
+              best = v;
+              best_choice = static_cast<std::int64_t>(l);
+            }
+          }
+        }
+        if (j >= 1) {
+          const double v = prev[j - 1] + cost_fn.Cost(j, j);
+          ++lane_evals;
+          if (v < best) {
+            best = v;
+            best_choice = static_cast<std::int64_t>(j - 1);
+          }
+        }
+        cur[j] = best;
+        choice_row[j] = best_choice;
+      }
+    }
+    lane_evaluations[lane] = lane_evals;
+  };
+
   for (std::size_t b = 2; b <= cap; ++b) {
     if (StopRequested(ctx)) {
       return ctx->StopStatus("approx-dp", "budget layer", b, cap);
@@ -1659,59 +1743,28 @@ StatusOr<ApproxHistogramResult> RunApproxDp(const BucketCostOracle& oracle,
         class_base = prev[j + 1];
       }
     }
-    if (n >= 1) candidates.push_back(n - 1);
+    candidates.push_back(n - 1);
 
     if constexpr (kBulk) {
       cost_fn.Gather(candidates, prev.data(), gather);
-      candidate_values.resize(candidates.size());
+      for (std::vector<double>& values : lane_values) {
+        values.resize(candidates.size());
+      }
     }
-    std::size_t valid = 0;  // candidates with l < j; monotone in j
-    for (std::size_t j = 0; j < n; ++j) {
-      if ((j & 255u) == 0 && StopRequested(ctx)) {
-        return ctx->StopStatus("approx-dp", "column", b * n + j, cap * n);
-      }
-      while (valid < candidates.size() && candidates[valid] < j) ++valid;
-      double best = prev[j];  // Inherit: fewer buckets already optimal.
-      std::int64_t best_choice = kInherit;
-      if constexpr (kBulk) {
-        // Fused column evaluation + SIMD min, then the reference
-        // tie-break: first candidate attaining the minimum, inherit
-        // winning all ties (strict <) — identical to the sequential
-        // compare-per-candidate scan, since FP min is exact in any order.
-        const double m =
-            cost_fn.BulkMin(gather, valid, j, candidate_values.data());
-        evaluations += valid;
-        if (m < best) {
-          best = m;
-          for (std::size_t i = 0; i < valid; ++i) {
-            if (candidate_values[i] == m) {
-              best_choice = static_cast<std::int64_t>(candidates[i]);
-              break;
-            }
-          }
-        }
-      } else {
-        for (std::size_t i = 0; i < valid; ++i) {
-          const std::size_t l = candidates[i];
-          const double v = prev[l] + cost_fn.Cost(l + 1, j);
-          ++evaluations;
-          if (v < best) {
-            best = v;
-            best_choice = static_cast<std::int64_t>(l);
-          }
-        }
-      }
-      if (j >= 1) {
-        const double v = prev[j - 1] + cost_fn.Cost(j, j);
-        ++evaluations;
-        if (v < best) {
-          best = v;
-          best_choice = static_cast<std::int64_t>(j - 1);
-        }
-      }
-      cur[j] = best;
-      choice[b - 1][j] = best_choice;
+    choice[b - 1].resize(n);
+    choice_row = choice[b - 1].data();
+    if (lanes == 1) {
+      fill_lane(0);
+    } else {
+      PROBSYN_RETURN_IF_ERROR(
+          pool->ParallelFor(0, lanes, [&](std::size_t lb, std::size_t le) {
+            for (std::size_t lane = lb; lane < le; ++lane) fill_lane(lane);
+          }));
     }
+    if (StopRequested(ctx)) {
+      return ctx->StopStatus("approx-dp", "budget layer", b, cap);
+    }
+    for (std::size_t lane_evals : lane_evaluations) evaluations += lane_evals;
     prev.swap(cur);
     cost_curve.push_back(prev[n - 1]);
   }
@@ -2004,8 +2057,7 @@ StatusOr<ApproxHistogramResult> SolveApproxHistogramDpWithKernel(
   switch (kind) {
     case DpKernelKind::kReference: {
       ReferencePointCost cost_fn{&oracle};
-      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind,
-                         options.context);
+      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind, options);
     }
     case DpKernelKind::kSseMoment: {
       const auto* sse = dynamic_cast<const SseMomentOracle*>(&oracle);
@@ -2015,8 +2067,7 @@ StatusOr<ApproxHistogramResult> SolveApproxHistogramDpWithKernel(
                                  sse->second_prefix().cumulative().data(),
                                  sse->variance_prefix().cumulative().data(),
                                  sse->variant() == SseVariant::kWorldMean};
-      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind,
-                         options.context);
+      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind, options);
     }
     case DpKernelKind::kSsre: {
       const auto* ssre = dynamic_cast<const SsreOracle*>(&oracle);
@@ -2024,29 +2075,25 @@ StatusOr<ApproxHistogramResult> SolveApproxHistogramDpWithKernel(
       SsrePointCost cost_fn{ssre->x_prefix().cumulative().data(),
                             ssre->y_prefix().cumulative().data(),
                             ssre->z_prefix().cumulative().data()};
-      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind,
-                         options.context);
+      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind, options);
     }
     case DpKernelKind::kAbsCumulative: {
       const auto* abs = dynamic_cast<const AbsCumulativeOracle*>(&oracle);
       PROBSYN_CHECK(abs != nullptr);
       AbsPointCost cost_fn{abs};
-      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind,
-                         options.context);
+      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind, options);
     }
     case DpKernelKind::kMaxError: {
       const auto* max = dynamic_cast<const MaxErrorOracle*>(&oracle);
       PROBSYN_CHECK(max != nullptr);
       MaxErrorPointCost cost_fn{max};
-      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind,
-                         options.context);
+      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind, options);
     }
     case DpKernelKind::kTupleSse: {
       const auto* tuple = dynamic_cast<const SseTupleWorldMeanOracle*>(&oracle);
       PROBSYN_CHECK(tuple != nullptr);
       TupleSsePointCost cost_fn{tuple};
-      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind,
-                         options.context);
+      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind, options);
     }
     case DpKernelKind::kAuto:
       break;  // resolved above

@@ -411,12 +411,16 @@ HistogramDpResult SolveHistogramDpWithKernel(const BucketCostOracle& oracle,
 /// Knobs of the kernel-level approximate-DP entry point. Defaults reproduce
 /// SolveApproxHistogramDp(oracle, max_buckets, epsilon).
 struct ApproxDpKernelOptions {
+  /// Non-null fans each budget layer's columns out over the pool
+  /// (bit-identical output, evaluation count included).
+  ThreadPool* pool = nullptr;
   /// kAuto resolves via SelectDpKernel. A concrete kind must match the
   /// oracle's dynamic type (checked); kReference always applies and is the
   /// parity baseline the kernel tests compare against.
   DpKernelKind kernel = DpKernelKind::kAuto;
-  /// Non-null arms cooperative stopping (poll per budget layer and every
-  /// 256 columns); the solve then fails with kDeadlineExceeded/kCancelled.
+  /// Non-null arms cooperative stopping (poll before the first layer, per
+  /// budget layer, and per 64-column block); the solve then fails with
+  /// kDeadlineExceeded/kCancelled.
   const ExecContext* context = nullptr;
 };
 

@@ -71,10 +71,9 @@ Status IngestCoordinator::DrainStream(Stream& s) {
   std::unique_lock<std::mutex> lock(s.mutex);
   if (s.draining) return Status::OK();  // that thread is making progress
   s.draining = true;
-  PollGate gate(1);  // between-blocks cadence; each block is >= 1 batch
   Status result = Status::OK();
   for (;;) {
-    if (gate.ShouldStop(options_.context)) {
+    if (StopRequested(options_.context)) {  // once per block
       result = options_.context->StopStatus(
           "ingest", "item", pushed_.load(std::memory_order_relaxed),
           accepted_.load(std::memory_order_relaxed));

@@ -58,6 +58,12 @@ const char* StreamingKernelName(StreamingKernel kind);
 ///     StatusOr<StreamingResult> r = builder.Finish();
 class StreamingHistogramBuilder {
  public:
+  /// PushBatch's internal block size: 4 full AVX-512 lane groups per layer
+  /// sweep — measured knee of the amortization curve (larger blocks
+  /// stopped helping; see docs/benchmarks.md). Callers feeding a long
+  /// stream pass spans that are multiples of it.
+  static constexpr std::size_t kBatchWidth = 32;
+
   struct Result {
     Histogram histogram;
     /// Expected SSE of `histogram` (exact for the returned buckets).
@@ -221,10 +227,6 @@ class StreamingHistogramBuilder {
   StreamChainStore* chain_store_;
 
   // --- Batched-push (PushBatch) state. --------------------------------
-  // Internal block size: 4 full AVX-512 lane groups per layer sweep —
-  // measured knee of the amortization curve (larger blocks stopped
-  // helping; see docs/benchmarks.md).
-  static constexpr std::size_t kBatchWidth = 32;
   // recips_[w] == 1.0 / w for every bucket width seen so far; extended
   // once per block, consumed by the batched sweep's Markstein division.
   std::vector<double> recips_;

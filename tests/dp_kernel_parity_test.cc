@@ -421,7 +421,17 @@ TEST(DpKernelSelection, FactoryKnowsEveryKernel) {
 
 // --- Approximate-DP kernel parity: the specialized point-cost kernels must
 // reproduce the reference virtual-dispatch solve exactly — histogram
-// (boundaries, representatives), cost, and the Theorem 5 evaluation count.
+// (boundaries, representatives), cost, per-budget cost curve, and the
+// Theorem 5 evaluation count.
+
+void ExpectSameApproxResult(const ApproxHistogramResult& expected,
+                            const ApproxHistogramResult& actual,
+                            const std::string& label) {
+  EXPECT_TRUE(expected.histogram == actual.histogram) << label;
+  EXPECT_EQ(expected.cost, actual.cost) << label;
+  EXPECT_EQ(expected.cost_curve, actual.cost_curve) << label;
+  EXPECT_EQ(expected.oracle_evaluations, actual.oracle_evaluations) << label;
+}
 
 void CheckApproxKernelParity(const BucketCostOracle& oracle,
                              std::size_t max_buckets, double epsilon,
@@ -435,10 +445,7 @@ void CheckApproxKernelParity(const BucketCostOracle& oracle,
   ASSERT_TRUE(kernel.ok()) << label << ": " << kernel.status();
   EXPECT_EQ(kernel->kernel, SelectDpKernel(oracle)) << label;
 
-  EXPECT_TRUE(reference->histogram == kernel->histogram) << label;
-  EXPECT_EQ(reference->cost, kernel->cost) << label;
-  EXPECT_EQ(reference->oracle_evaluations, kernel->oracle_evaluations)
-      << label;
+  ExpectSameApproxResult(*reference, *kernel, label);
 }
 
 constexpr ErrorMetric kCumulativeMetrics[] = {
@@ -514,6 +521,61 @@ TEST(ApproxDpKernelParity, PlateauInputsAndTupleSse) {
   ASSERT_TRUE(bundle.ok());
   ASSERT_EQ(bundle->kernel, DpKernelKind::kTupleSse);
   CheckApproxKernelParity(*bundle->oracle, 6, 0.1, "tuple-sse");
+}
+
+// The approximate DP fans each budget layer's columns out over the pool in
+// fixed 64-column blocks. Every kernel, at every pool size and SIMD path,
+// must return the sequential (null-pool) solve bit for bit — histogram,
+// cost, cost curve, and evaluation count — on a domain smaller than one
+// block and on one that ends in a partial block.
+TEST(PooledApproxParity, MatchesSequentialAcrossPoolsSimdAndDomains) {
+  // The null-pool solve is the sequential baseline; a 0-worker pool runs
+  // the fan-out inline, and 1 worker gives 2 lanes, so n = 150 (blocks of
+  // 64, 64, 22) hands lane 0 two blocks round-robin.
+  ThreadPool pool0(0), pool1(1), pool3(3);
+  const std::vector<ThreadPool*> pools = {&pool0, &pool1, &pool3};
+  const std::vector<SimdPath> supported = testing::SupportedSimdPaths();
+  const SimdPath paths[] = {SimdPath::kScalar, supported.back()};  // native
+  for (std::size_t n : {std::size_t{40}, std::size_t{150}}) {
+    const ValuePdfInput values = MovieValuePdf(n, 61);
+    std::vector<StatusOr<OracleBundle>> bundles;
+    for (ErrorMetric metric : {ErrorMetric::kSse, ErrorMetric::kSsre,
+                               ErrorMetric::kSae, ErrorMetric::kMae}) {
+      SynopsisOptions options;
+      options.metric = metric;
+      options.sanity_c = 0.5;
+      bundles.push_back(MakeBucketOracle(values, options));
+    }
+    const TuplePdfInput tuples = GenerateRandomTuplePdf(
+        {.domain_size = n, .num_tuples = n, .max_alternatives = 4,
+         .seed = 62});
+    SynopsisOptions world_mean;
+    world_mean.sse_variant = SseVariant::kWorldMean;
+    bundles.push_back(MakeBucketOracle(tuples, world_mean));
+    for (const auto& bundle : bundles) {
+      ASSERT_TRUE(bundle.ok()) << bundle.status();
+      for (DpKernelKind kind : {bundle->kernel, DpKernelKind::kReference}) {
+        for (SimdPath path : paths) {
+          testing::ScopedSimdPath forced(path);
+          const std::string base = std::string(DpKernelKindName(kind)) +
+                                   "/n=" + std::to_string(n) +
+                                   "/simd=" + SimdPathName(path);
+          auto sequential = SolveApproxHistogramDpWithKernel(
+              *bundle->oracle, 8, 0.1, {.kernel = kind});
+          ASSERT_TRUE(sequential.ok()) << base << ": " << sequential.status();
+          EXPECT_EQ(sequential->kernel, kind) << base;
+          for (ThreadPool* p : pools) {
+            const std::string label =
+                base + "/workers=" + std::to_string(p->num_threads());
+            auto pooled = SolveApproxHistogramDpWithKernel(
+                *bundle->oracle, 8, 0.1, {.pool = p, .kernel = kind});
+            ASSERT_TRUE(pooled.ok()) << label << ": " << pooled.status();
+            ExpectSameApproxResult(*sequential, *pooled, label);
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- Warm-started SAE/SARE sweeps. FlatSweep's warm acceptance is
@@ -828,6 +890,19 @@ TEST(EngineKernelIntegration, ApproxAndWaveletSolverStringsRecordKernel) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_NE(result->solver.find("kernel=abs-cumulative"), std::string::npos)
       << result->solver;
+  EXPECT_NE(result->solver.find(",sequential]"), std::string::npos)
+      << result->solver;
+  // The approximate DP fans its columns out over the engine pool, and the
+  // solver string names the lane count it ran with.
+  {
+    SynopsisEngine pooled({.parallelism = 4, .min_parallel_domain = 1});
+    auto fanned = pooled.Build(input, approx);
+    ASSERT_TRUE(fanned.ok()) << fanned.status();
+    EXPECT_NE(fanned->solver.find(",parallel=4]"), std::string::npos)
+        << fanned->solver;
+    EXPECT_TRUE(fanned->histogram == result->histogram);
+    EXPECT_EQ(fanned->cost, result->cost);
+  }
 
   SynopsisRequest restricted;
   restricted.kind = SynopsisKind::kWavelet;

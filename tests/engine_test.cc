@@ -229,6 +229,31 @@ TEST(EngineParity, StreamingHistogramMatchesDirectBuilder) {
   EXPECT_TRUE(result->histogram == finished->histogram);
 }
 
+// The engine feeds the stream through PushBatch in fixed blocks; on a
+// domain that ends in a partial block (and a partial kBatchWidth group) the
+// result must still equal one Push per item bit for bit.
+TEST(EngineParity, BatchedStreamingRouteMatchesLoopedPush) {
+  const std::size_t kDomain = 1000;
+  ASSERT_NE(kDomain % StreamingHistogramBuilder::kBatchWidth, 0u);
+  ValuePdfInput input =
+      GenerateRandomValuePdf({.domain_size = kDomain, .seed = 71});
+  StreamingHistogramBuilder direct(32, 0.1);
+  for (const ValuePdf& pdf : input.items()) direct.Push(pdf);
+  auto finished = direct.Finish();
+  ASSERT_TRUE(finished.ok());
+
+  SynopsisRequest request;
+  request.method = HistogramMethod::kStreaming;
+  request.budget = 32;
+  request.epsilon = 0.1;
+  request.options.sse_variant = SseVariant::kFixedRepresentative;
+  SynopsisEngine engine;
+  auto result = engine.Build(input, request);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->cost, finished->cost);
+  EXPECT_TRUE(result->histogram == finished->histogram);
+}
+
 // --- Wavelet routes. -----------------------------------------------------
 
 TEST(EngineParity, WaveletRoutesMatchDirectSolvers) {

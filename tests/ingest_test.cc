@@ -353,26 +353,5 @@ TEST(Ingest, OpenIngestValidatesOptions) {
   EXPECT_EQ(engine.workspace_pool_stats().outstanding, 0u);
 }
 
-// The shared poll-cadence helper both the engine's streaming loop and the
-// ingest drain loop run on.
-TEST(IngestPollGate, PollsOnPowerOfTwoCadence) {
-  CancelToken cancel;
-  ExecContext context(Deadline::Never(), &cancel);
-  cancel.Cancel();
-  PollGate gate(4);
-  // First call polls (historical (pushed & 15) == 0 behavior), then every
-  // 4th.
-  EXPECT_TRUE(gate.ShouldStop(&context));
-  EXPECT_FALSE(gate.ShouldStop(&context));
-  EXPECT_FALSE(gate.ShouldStop(&context));
-  EXPECT_FALSE(gate.ShouldStop(&context));
-  EXPECT_TRUE(gate.ShouldStop(&context));
-  PollGate every_call(1);
-  EXPECT_TRUE(every_call.ShouldStop(&context));
-  EXPECT_TRUE(every_call.ShouldStop(&context));
-  PollGate null_context;
-  EXPECT_FALSE(null_context.ShouldStop(nullptr));
-}
-
 }  // namespace
 }  // namespace probsyn
