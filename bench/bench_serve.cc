@@ -15,6 +15,12 @@
 //   BM_ServeWaveletQps   point estimates against a B-coefficient wavelet
 //                        (O(log n log B) sparse reconstruction per query)
 //   BM_ServeRangeSum     random-range sums against the same histogram
+//   BM_ServeWaveletRangeSum
+//                        the same range stream against a B-coefficient
+//                        wavelet (one sparse walk over the root paths of
+//                        the range's ends per query)
+//   BM_ServeOpenWavelet  SynopsisServer::Open of a 64-entry wavelet store
+//                        over n = 2^16 (B = 1024): map, checksum, decode
 //   BM_CodecRoundTrip    EncodeHistogram + DecodeHistogram of a B-bucket
 //                        synopsis (bytes_per_second = blob bytes each way)
 //   BM_StoreOpen         SynopsisStore::Open of a 64-entry store — the
@@ -55,15 +61,16 @@ Histogram MakeHistogram(std::size_t num_buckets) {
   return Histogram(std::move(buckets));
 }
 
-WaveletSynopsis MakeWavelet(std::size_t num_coefficients) {
+WaveletSynopsis MakeWavelet(std::size_t num_coefficients,
+                            std::size_t domain = kDomain) {
   std::vector<WaveletCoefficient> coefficients;
   coefficients.reserve(num_coefficients);
-  const std::size_t stride = kDomain / num_coefficients;
+  const std::size_t stride = domain / num_coefficients;
   for (std::size_t k = 0; k < num_coefficients; ++k) {
     coefficients.push_back(
         {k * stride, static_cast<double>((k * 40503u) % 512) / 4.0 - 60.0});
   }
-  return WaveletSynopsis(kDomain, kDomain, std::move(coefficients));
+  return WaveletSynopsis(domain, domain, std::move(coefficients));
 }
 
 // Writes a two-entry store and opens a server over it.
@@ -143,6 +150,42 @@ void BM_ServeRangeSum(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
+void BM_ServeWaveletRangeSum(benchmark::State& state) {
+  SynopsisServer server =
+      MakeServer("wrange", 64, static_cast<std::size_t>(state.range(0)));
+  const ServedSynopsis* synopsis = server.Find("w");
+  PROBSYN_CHECK(synopsis != nullptr);
+  std::uint64_t lcg = 0x2545f4914f6cdd1dull;
+  for (auto _ : state) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    const std::size_t a = (lcg >> 16) % (kDomain / 2);
+    const std::size_t b = a + (lcg >> 40) % (kDomain - a);
+    benchmark::DoNotOptimize(synopsis->RangeSum(a, b));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+void BM_ServeOpenWavelet(benchmark::State& state) {
+  constexpr std::size_t kEntries = 64;
+  SynopsisStoreWriter writer;
+  for (std::size_t k = 0; k < kEntries; ++k) {
+    PROBSYN_CHECK(writer
+                      .AddWavelet("w" + std::to_string(k),
+                                  MakeWavelet(1024, std::size_t{1} << 16))
+                      .ok());
+  }
+  const std::string path = "/tmp/probsyn_bench_open_wavelet.synstore";
+  PROBSYN_CHECK(writer.WriteFile(path).ok());
+  for (auto _ : state) {
+    auto server = SynopsisServer::Open(path);
+    PROBSYN_CHECK(server.ok());
+    benchmark::DoNotOptimize(server->size());
+  }
+  std::remove(path.c_str());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kEntries));
+}
+
 void BM_CodecRoundTrip(benchmark::State& state) {
   Histogram histogram = MakeHistogram(static_cast<std::size_t>(state.range(0)));
   std::size_t blob_bytes = 0;
@@ -184,6 +227,8 @@ BENCHMARK(probsyn::BM_ServeQpsThreaded)
     ->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
 BENCHMARK(probsyn::BM_ServeWaveletQps)->Arg(64)->Arg(1024);
 BENCHMARK(probsyn::BM_ServeRangeSum)->Arg(64)->Arg(1024);
+BENCHMARK(probsyn::BM_ServeWaveletRangeSum)->Arg(64)->Arg(1024);
+BENCHMARK(probsyn::BM_ServeOpenWavelet)->Unit(benchmark::kMillisecond);
 BENCHMARK(probsyn::BM_CodecRoundTrip)->Arg(64)->Arg(1024)->Arg(16384);
 BENCHMARK(probsyn::BM_StoreOpen);
 

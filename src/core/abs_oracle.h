@@ -50,9 +50,8 @@ class AbsCumulativeOracle final : public BucketCostOracle {
 
   /// Expected bucket error for a *given* grid representative index; exposed
   /// for tests that verify convexity and optimality of the searched l.
-  /// Defined inline so the convex search's probe loop (OptimalGridIndex and
-  /// the approximate DP's point-cost kernel) compiles down to direct bank
-  /// reads with no cross-TU call per probe.
+  /// Defined inline so the convex search's probe loop (OptimalGridIndex)
+  /// compiles down to direct bank reads with no cross-TU call per probe.
   double CostAtGridIndex(std::size_t s, std::size_t e, std::size_t l) const {
     return below_.RangeSum(l, s, e) + above_.RangeSum(l, s, e);
   }

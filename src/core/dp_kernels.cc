@@ -1560,19 +1560,6 @@ struct SsrePointCost {
   }
 };
 
-// AbsCumulativeOracle's cold convex search with the probe lambda inlined
-// (OptimalGridIndex without a hint runs the identical probe sequence as
-// the std::function-based Cost()).
-struct AbsPointCost {
-  const AbsCumulativeOracle* oracle;
-
-  double Cost(std::size_t s, std::size_t e) const {
-    const std::size_t best =
-        oracle->OptimalGridIndex(s, e, AbsCumulativeOracle::kNoHint);
-    return std::max(0.0, oracle->CostAtGridIndex(s, e, best));
-  }
-};
-
 // MaxErrorOracle / SseTupleWorldMeanOracle: the classes are final, so the
 // concrete call devirtualizes; their per-bucket work is irreducible.
 struct MaxErrorPointCost {
@@ -2055,9 +2042,13 @@ StatusOr<ApproxHistogramResult> SolveApproxHistogramDpWithKernel(
                                 ? SelectDpKernel(oracle)
                                 : options.kernel;
   switch (kind) {
-    case DpKernelKind::kReference: {
+    // An abs-cumulative point cost is one cold convex search, the same
+    // work as the reference virtual call, so it has no kernel of its own.
+    case DpKernelKind::kReference:
+    case DpKernelKind::kAbsCumulative: {
       ReferencePointCost cost_fn{&oracle};
-      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind, options);
+      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon,
+                         DpKernelKind::kReference, options);
     }
     case DpKernelKind::kSseMoment: {
       const auto* sse = dynamic_cast<const SseMomentOracle*>(&oracle);
@@ -2075,12 +2066,6 @@ StatusOr<ApproxHistogramResult> SolveApproxHistogramDpWithKernel(
       SsrePointCost cost_fn{ssre->x_prefix().cumulative().data(),
                             ssre->y_prefix().cumulative().data(),
                             ssre->z_prefix().cumulative().data()};
-      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind, options);
-    }
-    case DpKernelKind::kAbsCumulative: {
-      const auto* abs = dynamic_cast<const AbsCumulativeOracle*>(&oracle);
-      PROBSYN_CHECK(abs != nullptr);
-      AbsPointCost cost_fn{abs};
       return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind, options);
     }
     case DpKernelKind::kMaxError: {

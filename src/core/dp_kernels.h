@@ -375,7 +375,8 @@ struct DpKernelOptions {
   DpWorkspace* workspace = nullptr;
   /// kAuto resolves via SelectDpKernel. A concrete kind must match the
   /// oracle's dynamic type (checked); kReference always applies and is the
-  /// parity baseline the kernel tests compare against.
+  /// parity baseline the kernel tests compare against. kAbsCumulative has
+  /// no approximate-DP kernel: it runs, and reports, kReference.
   DpKernelKind kernel = DpKernelKind::kAuto;
   /// Non-null arms cooperative stopping: the solver polls per column /
   /// layer batch (work units far above the poll cost, so overhead stays
@@ -416,7 +417,8 @@ struct ApproxDpKernelOptions {
   ThreadPool* pool = nullptr;
   /// kAuto resolves via SelectDpKernel. A concrete kind must match the
   /// oracle's dynamic type (checked); kReference always applies and is the
-  /// parity baseline the kernel tests compare against.
+  /// parity baseline the kernel tests compare against. kAbsCumulative has
+  /// no approximate-DP kernel: it runs, and reports, kReference.
   DpKernelKind kernel = DpKernelKind::kAuto;
   /// Non-null arms cooperative stopping (poll before the first layer, per
   /// budget layer, and per 64-column block); the solve then fails with
@@ -430,12 +432,10 @@ struct ApproxDpKernelOptions {
 /// SPARSE set of candidate buckets (Theorem 5's geometric error classes),
 /// so its kernels are devirtualized point-cost evaluators: each candidate's
 /// Cost(s, e) arithmetic is inlined over the oracle's raw prefix-sum spans
-/// (SSE/SSRE), run through the cold convex search with the probe lambda
-/// inlined (SAE/SARE — cold rather than warm-started, because the
-/// reference path's virtual Cost() searches cold and plateau rounding can
-/// make a warm-accepted optimum land on a different grid index), or issued
-/// as a concrete `final`-class call (MAE/MARE, tuple-SSE) — never a
-/// virtual dispatch per candidate.
+/// (SSE/SSRE) or issued as a concrete `final`-class call (MAE/MARE,
+/// tuple-SSE). SAE/SARE run the reference path: their point cost is one
+/// cold convex search either way (a warm start could land on a different
+/// grid index on plateaus), and inlining it measured no faster.
 ///
 /// Every kernel is bit-identical to kReference in the returned histogram,
 /// cost, and oracle_evaluations count (the driver is shared; only the cost

@@ -78,36 +78,61 @@ double LeafContributionScale(std::size_t index, std::size_t n) {
                    static_cast<double>(n));
 }
 
-double ReconstructPointSparse(std::span<const std::size_t> indices,
-                              std::span<const double> values, std::size_t i,
-                              std::size_t n) {
-  PROBSYN_CHECK(IsPowerOfTwo(n) && i < n);
-  PROBSYN_CHECK(indices.size() == values.size());
-  auto lookup = [&](std::size_t idx) -> double {
-    auto it = std::lower_bound(indices.begin(), indices.end(), idx);
-    if (it != indices.end() && *it == idx) {
-      return values[static_cast<std::size_t>(it - indices.begin())];
-    }
-    return 0.0;
-  };
+namespace {
 
-  double total = lookup(0) * LeafContributionScale(0, n);
-  // Walk the detail chain covering leaf i.
-  std::size_t node = 1;
-  std::size_t lo = 0, hi = n;
-  while (node < n) {
-    std::size_t mid = (lo + hi) / 2;
-    double sign = (i < mid) ? 1.0 : -1.0;
-    total += sign * lookup(node) * LeafContributionScale(node, n);
-    if (i < mid) {
-      hi = mid;
-      node = 2 * node;
-    } else {
-      lo = mid;
-      node = 2 * node + 1;
-    }
+// The recursive part of HaarRangeSum: adds the contribution of detail node
+// `node` (support [lo, hi)) and of its descendants to `total`, preorder.
+// Coefficients are found by binary search from `first`: a descendant's
+// index exceeds its ancestor's, so the search never looks back.
+struct RangeWalk {
+  std::span<const WaveletCoefficient> coefficients;
+  std::size_t a;
+  std::size_t b;
+  std::size_t n;
+  double total;
+
+  // Items of [a, b] inside [lo, hi).
+  double Overlap(std::size_t lo, std::size_t hi) const {
+    const std::size_t from = std::max(a, lo);
+    const std::size_t to = std::min(b + 1, hi);
+    return to > from ? static_cast<double>(to - from) : 0.0;
   }
-  return total;
+
+  void Visit(std::size_t node, std::size_t lo, std::size_t hi,
+             std::size_t first) {
+    // Wholly outside or wholly inside [a, b]: the halves cancel here and in
+    // every descendant. A leaf is always one or the other, so the walk
+    // never goes below the finest detail level.
+    if (b < lo || hi <= a || (a <= lo && hi - 1 <= b)) return;
+    const std::size_t mid = lo + (hi - lo) / 2;
+    auto it = std::lower_bound(
+        coefficients.begin() + static_cast<std::ptrdiff_t>(first),
+        coefficients.end(), node,
+        [](const WaveletCoefficient& c, std::size_t x) { return c.index < x; });
+    first = static_cast<std::size_t>(it - coefficients.begin());
+    if (it != coefficients.end() && it->index == node) {
+      total += it->value * LeafContributionScale(node, n) *
+               (Overlap(lo, mid) - Overlap(mid, hi));
+    }
+    Visit(2 * node, lo, mid, first);
+    Visit(2 * node + 1, mid, hi, first);
+  }
+};
+
+}  // namespace
+
+double HaarRangeSum(std::span<const WaveletCoefficient> coefficients,
+                    std::size_t a, std::size_t b, std::size_t n) {
+  PROBSYN_CHECK(IsPowerOfTwo(n) && a <= b && b < n);
+  RangeWalk walk{coefficients, a, b, n, 0.0};
+  std::size_t first = 0;
+  if (!coefficients.empty() && coefficients.front().index == 0) {
+    walk.total = coefficients.front().value * LeafContributionScale(0, n) *
+                 static_cast<double>(b - a + 1);
+    first = 1;
+  }
+  walk.Visit(1, 0, n, first);
+  return walk.total;
 }
 
 }  // namespace probsyn

@@ -33,12 +33,15 @@ Status Histogram::Validate(std::size_t n) const {
 
 std::size_t Histogram::BucketIndexOf(std::size_t i) const {
   PROBSYN_CHECK(!buckets_.empty() && i <= buckets_.back().end);
-  // First bucket whose end >= i.
-  auto it = std::lower_bound(
-      buckets_.begin(), buckets_.end(), i,
-      [](const HistogramBucket& b, std::size_t x) { return b.end < x; });
-  PROBSYN_DCHECK(it != buckets_.end());
-  return static_cast<std::size_t>(it - buckets_.begin());
+  // First bucket whose end >= i, by a branch-free lower bound: the halving
+  // step is a conditional move, so random probes pay no mispredictions.
+  const HistogramBucket* first = buckets_.data();
+  for (std::size_t len = buckets_.size(); len > 1;) {
+    const std::size_t half = len / 2;
+    first = first[half - 1].end < i ? first + half : first;
+    len -= half;
+  }
+  return static_cast<std::size_t>(first - buckets_.data());
 }
 
 double Histogram::Estimate(std::size_t i) const {

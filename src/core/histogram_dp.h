@@ -34,7 +34,7 @@ enum class DpKernelKind {
   kReference,      ///< Virtual-dispatch sweeps + scalar scan (parity baseline).
   kSseMoment,      ///< SseMomentOracle: flat mean/second/variance spans.
   kSsre,           ///< SsreOracle: flat X/Y/Z spans.
-  kAbsCumulative,  ///< AbsCumulativeOracle: inlined U/D ternary search.
+  kAbsCumulative,  ///< AbsCumulativeOracle: warm-started convex search.
   kMaxError,       ///< MaxErrorOracle: devirtualized envelope costs.
   kTupleSse,       ///< SseTupleWorldMeanOracle: concrete FlatSweep.
 };

@@ -43,15 +43,7 @@ Status WaveletSynopsis::Validate() const {
 
 double WaveletSynopsis::Estimate(std::size_t i) const {
   PROBSYN_CHECK(i < domain_size_);
-  std::vector<std::size_t> indices;
-  std::vector<double> values;
-  indices.reserve(coefficients_.size());
-  values.reserve(coefficients_.size());
-  for (const WaveletCoefficient& c : coefficients_) {
-    indices.push_back(c.index);
-    values.push_back(c.value);
-  }
-  return ReconstructPointSparse(indices, values, i, transform_size_);
+  return HaarRangeSum(coefficients_, i, i, transform_size_);
 }
 
 std::vector<double> WaveletSynopsis::ToFrequencyVector() const {
@@ -64,10 +56,7 @@ std::vector<double> WaveletSynopsis::ToFrequencyVector() const {
 
 double WaveletSynopsis::EstimateRangeSum(std::size_t a, std::size_t b) const {
   PROBSYN_CHECK(a <= b && b < domain_size_);
-  std::vector<double> freq = ToFrequencyVector();
-  KahanSum sum;
-  for (std::size_t i = a; i <= b; ++i) sum.Add(freq[i]);
-  return sum.value();
+  return HaarRangeSum(coefficients_, a, b, transform_size_);
 }
 
 std::string WaveletSynopsis::ToString() const {

@@ -5,91 +5,34 @@
 #include <numeric>
 #include <utility>
 
-#include "core/haar.h"
-#include "util/logging.h"
-#include "util/math.h"
-
 namespace probsyn {
 
 ServedSynopsis::ServedSynopsis(DecodedSynopsis decoded)
-    : kind_(decoded.kind) {
-  if (kind_ == SynopsisBlobKind::kHistogram) {
-    const auto& buckets = decoded.histogram.buckets();
-    domain_size_ = decoded.histogram.domain_size();
-    bucket_ends_.reserve(buckets.size());
-    bucket_reps_.reserve(buckets.size());
-    for (const HistogramBucket& b : buckets) {
-      bucket_ends_.push_back(b.end);
-      bucket_reps_.push_back(b.representative);
-    }
-    return;
-  }
-  domain_size_ = decoded.wavelet.domain_size();
-  transform_size_ = decoded.wavelet.transform_size();
-  const auto& coeffs = decoded.wavelet.coefficients();
-  coeff_indices_.reserve(coeffs.size());
-  coeff_values_.reserve(coeffs.size());
-  for (const WaveletCoefficient& c : coeffs) {
-    coeff_indices_.push_back(c.index);
-    coeff_values_.push_back(c.value);
-  }
+    : kind_(decoded.kind),
+      histogram_(std::move(decoded.histogram)),
+      wavelet_(std::move(decoded.wavelet)) {
   // Precompute the |value|-desc / index-asc ranking (the same order the
   // greedy builder uses) so TopCoefficients is O(k) per query.
-  magnitude_order_.resize(coeff_values_.size());
+  const std::vector<WaveletCoefficient>& coeffs = wavelet_.coefficients();
+  magnitude_order_.resize(coeffs.size());
   std::iota(magnitude_order_.begin(), magnitude_order_.end(), std::size_t{0});
   std::sort(magnitude_order_.begin(), magnitude_order_.end(),
-            [this](std::size_t a, std::size_t b) {
-              double fa = std::fabs(coeff_values_[a]);
-              double fb = std::fabs(coeff_values_[b]);
+            [&coeffs](std::size_t a, std::size_t b) {
+              double fa = std::fabs(coeffs[a].value);
+              double fb = std::fabs(coeffs[b].value);
               if (fa != fb) return fa > fb;
-              return coeff_indices_[a] < coeff_indices_[b];
+              return coeffs[a].index < coeffs[b].index;
             });
-  // Cache the frequency vector through the exact construction-side path
-  // (sparse fill + HaarInverse) so range sums are bitwise-equal to
-  // WaveletSynopsis::EstimateRangeSum.
-  frequencies_ = decoded.wavelet.ToFrequencyVector();
-}
-
-double ServedSynopsis::PointEstimate(std::size_t i) const {
-  PROBSYN_DCHECK(i < domain_size_);
-  if (kind_ == SynopsisBlobKind::kHistogram) {
-    auto it = std::lower_bound(bucket_ends_.begin(), bucket_ends_.end(), i);
-    return bucket_reps_[static_cast<std::size_t>(it - bucket_ends_.begin())];
-  }
-  return ReconstructPointSparse(coeff_indices_, coeff_values_, i,
-                                transform_size_);
-}
-
-double ServedSynopsis::RangeSum(std::size_t a, std::size_t b) const {
-  PROBSYN_DCHECK(a <= b && b < domain_size_);
-  if (kind_ == SynopsisBlobKind::kHistogram) {
-    // Mirrors Histogram::EstimateRangeSum operation-for-operation (bucket
-    // starts are implied by the partition: start_k = end_{k-1} + 1).
-    double total = 0.0;
-    auto it = std::lower_bound(bucket_ends_.begin(), bucket_ends_.end(), a);
-    for (std::size_t k = static_cast<std::size_t>(it - bucket_ends_.begin());
-         k < bucket_ends_.size(); ++k) {
-      std::size_t start = k == 0 ? 0 : bucket_ends_[k - 1] + 1;
-      if (start > b) break;
-      std::size_t lo = std::max(a, start);
-      std::size_t hi = std::min(b, bucket_ends_[k]);
-      total += static_cast<double>(hi - lo + 1) * bucket_reps_[k];
-    }
-    return total;
-  }
-  KahanSum sum;
-  for (std::size_t i = a; i <= b; ++i) sum.Add(frequencies_[i]);
-  return sum.value();
 }
 
 std::vector<WaveletCoefficient> ServedSynopsis::TopCoefficients(
     std::size_t k) const {
+  const std::vector<WaveletCoefficient>& coeffs = wavelet_.coefficients();
   std::vector<WaveletCoefficient> top;
   std::size_t take = std::min(k, magnitude_order_.size());
   top.reserve(take);
   for (std::size_t r = 0; r < take; ++r) {
-    std::size_t slot = magnitude_order_[r];
-    top.push_back({coeff_indices_[slot], coeff_values_[slot]});
+    top.push_back(coeffs[magnitude_order_[r]]);
   }
   return top;
 }

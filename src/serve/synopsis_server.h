@@ -13,39 +13,52 @@
 
 namespace probsyn {
 
-/// One synopsis decoded out of a store and laid out for query answering:
-/// flat boundary/representative arrays for histograms, sorted coefficient
-/// arrays plus a cached top-|value| ranking and reconstructed frequency
-/// vector for wavelets. Immutable after construction, so any number of
-/// reader threads may query one instance concurrently without locking.
+/// One synopsis decoded out of a store, held as the construction-side
+/// object itself (Histogram or WaveletSynopsis) plus, for wavelets, a
+/// precomputed top-|value| ranking. Every per-entry member is O(B): a
+/// wavelet is served from its retained coefficients, never from a dense
+/// frequency vector. Immutable after construction, so any number of reader
+/// threads may query one instance concurrently without locking.
 ///
 /// Answer contract: every query is BITWISE-equal to evaluating the same
 /// query on the construction-side object (Histogram::Estimate /
-/// EstimateRangeSum, WaveletSynopsis::Estimate / EstimateRangeSum) — the
-/// serving tier replays the same arithmetic in the same order over the
-/// round-tripped doubles, a property the 200-case differential sweep in
-/// tests/synopsis_server_test.cc pins across SIMD dispatch modes. The
-/// hot-path accessors below skip per-call validation (bounds are DCHECKed);
-/// the SynopsisServer wrappers validate and return Status instead.
+/// EstimateRangeSum, WaveletSynopsis::Estimate / EstimateRangeSum) — by
+/// construction, because the serving tier calls exactly those methods on
+/// the round-tripped object. The 200-case differential sweep in
+/// tests/synopsis_server_test.cc pins it across SIMD dispatch modes. The
+/// hot-path accessors below skip the SynopsisServer wrappers' Status
+/// validation (an out-of-range index fails the estimators' CHECKs).
 class ServedSynopsis {
  public:
-  /// Builds the serving layout from a decoded blob.
+  /// Takes ownership of a decoded blob.
   explicit ServedSynopsis(DecodedSynopsis decoded);
 
   SynopsisBlobKind kind() const { return kind_; }
   /// Domain size n the synopsis answers queries over.
-  std::size_t domain_size() const { return domain_size_; }
+  std::size_t domain_size() const {
+    return kind_ == SynopsisBlobKind::kHistogram ? histogram_.domain_size()
+                                                 : wavelet_.domain_size();
+  }
   /// Retained coefficient count (0 for histograms).
-  std::size_t num_coefficients() const { return coeff_values_.size(); }
+  std::size_t num_coefficients() const { return wavelet_.num_coefficients(); }
   /// Bucket count (0 for wavelets).
-  std::size_t num_buckets() const { return bucket_reps_.size(); }
+  std::size_t num_buckets() const { return histogram_.num_buckets(); }
 
   /// ghat_i. O(log B) for histograms, O(log n log B) for wavelets.
   /// Precondition: i < domain_size().
-  double PointEstimate(std::size_t i) const;
+  double PointEstimate(std::size_t i) const {
+    return kind_ == SynopsisBlobKind::kHistogram ? histogram_.Estimate(i)
+                                                 : wavelet_.Estimate(i);
+  }
 
-  /// Estimate of sum_{i=a..b} g_i. Precondition: a <= b < domain_size().
-  double RangeSum(std::size_t a, std::size_t b) const;
+  /// Estimate of sum_{i=a..b} g_i. O(log B + buckets overlapped) for
+  /// histograms, O(log n log B) for wavelets.
+  /// Precondition: a <= b < domain_size().
+  double RangeSum(std::size_t a, std::size_t b) const {
+    return kind_ == SynopsisBlobKind::kHistogram
+               ? histogram_.EstimateRangeSum(a, b)
+               : wavelet_.EstimateRangeSum(a, b);
+  }
 
   /// RangeSum(a, b) / (b - a + 1).
   double RangeAverage(std::size_t a, std::size_t b) const {
@@ -59,19 +72,10 @@ class ServedSynopsis {
 
  private:
   SynopsisBlobKind kind_;
-  std::size_t domain_size_ = 0;
-
-  // Histogram layout: bucket ends (ascending) + representatives.
-  std::vector<std::size_t> bucket_ends_;
-  std::vector<double> bucket_reps_;
-
-  // Wavelet layout: coefficients sorted by index, the |value| ranking, and
-  // the reconstructed frequency vector backing range queries.
-  std::size_t transform_size_ = 0;
-  std::vector<std::size_t> coeff_indices_;
-  std::vector<double> coeff_values_;
+  Histogram histogram_;      // set when kind_ == kHistogram
+  WaveletSynopsis wavelet_;  // set when kind_ == kWavelet
+  // Positions in wavelet_.coefficients() by |value| desc, index asc.
   std::vector<std::size_t> magnitude_order_;
-  std::vector<double> frequencies_;
 };
 
 /// The query tier over a synopsis store: maps the file, decodes (and

@@ -422,7 +422,14 @@ TEST(DpKernelSelection, FactoryKnowsEveryKernel) {
 // --- Approximate-DP kernel parity: the specialized point-cost kernels must
 // reproduce the reference virtual-dispatch solve exactly — histogram
 // (boundaries, representatives), cost, per-budget cost curve, and the
-// Theorem 5 evaluation count.
+// Theorem 5 evaluation count. SAE/SARE have no approximate-DP kernel (their
+// oracles select kAbsCumulative, which runs and reports kReference), so for
+// them the comparison is reference against reference and holds trivially.
+
+DpKernelKind ApproxKernelRun(DpKernelKind requested) {
+  return requested == DpKernelKind::kAbsCumulative ? DpKernelKind::kReference
+                                                   : requested;
+}
 
 void ExpectSameApproxResult(const ApproxHistogramResult& expected,
                             const ApproxHistogramResult& actual,
@@ -443,7 +450,7 @@ void CheckApproxKernelParity(const BucketCostOracle& oracle,
 
   auto kernel = SolveApproxHistogramDp(oracle, max_buckets, epsilon);
   ASSERT_TRUE(kernel.ok()) << label << ": " << kernel.status();
-  EXPECT_EQ(kernel->kernel, SelectDpKernel(oracle)) << label;
+  EXPECT_EQ(kernel->kernel, ApproxKernelRun(SelectDpKernel(oracle))) << label;
 
   ExpectSameApproxResult(*reference, *kernel, label);
 }
@@ -563,7 +570,7 @@ TEST(PooledApproxParity, MatchesSequentialAcrossPoolsSimdAndDomains) {
           auto sequential = SolveApproxHistogramDpWithKernel(
               *bundle->oracle, 8, 0.1, {.kernel = kind});
           ASSERT_TRUE(sequential.ok()) << base << ": " << sequential.status();
-          EXPECT_EQ(sequential->kernel, kind) << base;
+          EXPECT_EQ(sequential->kernel, ApproxKernelRun(kind)) << base;
           for (ThreadPool* p : pools) {
             const std::string label =
                 base + "/workers=" + std::to_string(p->num_threads());
@@ -888,7 +895,8 @@ TEST(EngineKernelIntegration, ApproxAndWaveletSolverStringsRecordKernel) {
   approx.options.metric = ErrorMetric::kSae;
   auto result = engine.Build(input, approx);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_NE(result->solver.find("kernel=abs-cumulative"), std::string::npos)
+  // SAE has no approximate-DP kernel: the route names the reference loop.
+  EXPECT_NE(result->solver.find("kernel=reference"), std::string::npos)
       << result->solver;
   EXPECT_NE(result->solver.find(",sequential]"), std::string::npos)
       << result->solver;

@@ -1,9 +1,15 @@
 #include "core/haar.h"
 
+#include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/wavelet.h"
 #include "util/math.h"
 #include "util/random.h"
 
@@ -115,7 +121,7 @@ TEST(Haar, LeafContributionScalesMatchBasisAmplitudes) {
   }
 }
 
-TEST(Haar, ReconstructPointSparseMatchesDenseInverse) {
+TEST(Haar, RangeSumMatchesDenseInverse) {
   Rng rng(17);
   const std::size_t n = 32;
   std::vector<double> data(n);
@@ -123,19 +129,125 @@ TEST(Haar, ReconstructPointSparseMatchesDenseInverse) {
   std::vector<double> coeffs = HaarTransform(data);
 
   // Keep an arbitrary subset of coefficients.
-  std::vector<std::size_t> indices{0, 1, 3, 8, 21, 31};
-  std::vector<double> values;
+  std::vector<WaveletCoefficient> kept;
   std::vector<double> dense(n, 0.0);
-  for (std::size_t idx : indices) {
-    values.push_back(coeffs[idx]);
+  for (std::size_t idx : {0u, 1u, 3u, 8u, 21u, 31u}) {
+    kept.push_back({idx, coeffs[idx]});
     dense[idx] = coeffs[idx];
   }
   std::vector<double> expected = HaarInverse(dense);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(ReconstructPointSparse(indices, values, i, n), expected[i],
-                1e-10)
-        << "i=" << i;
+  for (std::size_t a = 0; a < n; ++a) {
+    EXPECT_NEAR(HaarRangeSum(kept, a, a, n), expected[a], 1e-10)
+        << "i=" << a;
+    double sum = 0.0;
+    for (std::size_t b = a; b < n; ++b) {
+      sum += expected[b];
+      EXPECT_NEAR(HaarRangeSum(kept, a, b, n), sum, 1e-10)
+          << "[" << a << "," << b << "]";
+    }
   }
+}
+
+TEST(Haar, RangeSumWithoutScalingOrDetailTerms) {
+  // Only detail terms: the scaling coefficient is absent.
+  std::vector<WaveletCoefficient> detail_only{{1, 2.0}};
+  EXPECT_NEAR(HaarRangeSum(detail_only, 0, 3, 8), 2.0 * std::sqrt(2.0), 1e-12);
+  EXPECT_DOUBLE_EQ(HaarRangeSum(detail_only, 0, 7, 8), 0.0);
+  // Only the scaling term; and the empty set reconstructs zeros.
+  std::vector<WaveletCoefficient> scaling_only{{0, 4.0}};
+  EXPECT_DOUBLE_EQ(HaarRangeSum(scaling_only, 2, 5, 16), 4.0);
+  EXPECT_DOUBLE_EQ(HaarRangeSum({}, 0, 15, 16), 0.0);
+  EXPECT_DOUBLE_EQ(HaarRangeSum(scaling_only, 0, 0, 1), 4.0);
+}
+
+// Dense long-double reconstruction of a sparse coefficient set: the
+// accuracy reference for both double-precision range-sum paths.
+std::vector<long double> LongDoubleInverse(
+    const std::vector<WaveletCoefficient>& kept, std::size_t n) {
+  std::vector<long double> data(n, 0.0L), scratch(n);
+  for (const WaveletCoefficient& c : kept) data[c.index] = c.value;
+  const long double inv_sqrt2 = 1.0L / std::sqrt(2.0L);
+  for (std::size_t len = 2; len <= n; len *= 2) {
+    const std::size_t half = len / 2;
+    for (std::size_t k = 0; k < half; ++k) {
+      scratch[2 * k] = (data[k] + data[half + k]) * inv_sqrt2;
+      scratch[2 * k + 1] = (data[k] - data[half + k]) * inv_sqrt2;
+    }
+    std::copy(scratch.begin(), scratch.begin() + len, data.begin());
+  }
+  return data;
+}
+
+// The sparse walk must be at least as accurate as the dense path it
+// replaced (inverse transform, then a Kahan sum over the range) on a sweep
+// of power-of-two and padded domains, budgets from 1 to n, signed and
+// spiky data, and ranges that stress the walk: points, the full domain,
+// ranges crossing the root midpoint, ranges under one leaf pair, and
+// random spans. Error is |estimate - reference| / max(1, sum |ghat_i|).
+TEST(Haar, RangeSumIsAtLeastAsAccurateAsDenseKahan) {
+  Rng rng(2009);
+  double worst_sparse = 0.0;
+  double worst_dense = 0.0;
+  for (std::size_t domain : {64u, 256u, 1024u, 100u, 777u, 1000u}) {
+    const std::size_t nt = NextPowerOfTwo(domain);
+    for (bool spiky : {false, true}) {
+      std::vector<double> data(domain);
+      for (double& d : data) {
+        d = spiky ? (rng.NextBounded(16) == 0 ? rng.NextUniform(-1e6, 1e6)
+                                              : rng.NextUniform(0, 1e-3))
+                  : rng.NextUniform(-1000, 1000);
+      }
+      for (std::size_t budget : {std::size_t{1}, std::size_t{2},
+                                 std::size_t{7}, nt / 8, nt / 2, nt}) {
+        WaveletSynopsis synopsis =
+            BuildSseWaveletFromFrequencies(data, budget);
+        const std::vector<long double> ghat =
+            LongDoubleInverse(synopsis.coefficients(), nt);
+        const std::vector<double> dense = synopsis.ToFrequencyVector();
+
+        std::vector<std::pair<std::size_t, std::size_t>> ranges;
+        for (std::size_t i = 0; i < domain; ++i) ranges.emplace_back(i, i);
+        ranges.emplace_back(0, domain - 1);
+        for (std::size_t w : {1u, 3u, 17u, 100u}) {
+          const std::size_t mid = nt / 2;
+          if (mid + w <= domain) ranges.emplace_back(mid - w, mid + w - 1);
+        }
+        for (std::size_t j = 0; 2 * j + 1 < domain; j += 13) {
+          ranges.emplace_back(2 * j, 2 * j + 1);
+        }
+        for (int r = 0; r < 50; ++r) {
+          const std::size_t a = rng.NextBounded(domain);
+          ranges.emplace_back(a, a + rng.NextBounded(domain - a));
+        }
+
+        for (auto [a, b] : ranges) {
+          long double want = 0.0L;
+          long double mass = 0.0L;
+          KahanSum kahan;
+          for (std::size_t i = a; i <= b; ++i) {
+            want += ghat[i];
+            mass += std::fabs(ghat[i]);
+            kahan.Add(dense[i]);
+          }
+          const long double scale = std::max(1.0L, mass);
+          const double sparse =
+              HaarRangeSum(synopsis.coefficients(), a, b, nt);
+          ASSERT_EQ(sparse, synopsis.EstimateRangeSum(a, b));
+          worst_sparse = std::max(
+              worst_sparse,
+              static_cast<double>(std::fabs(sparse - want) / scale));
+          worst_dense = std::max(
+              worst_dense,
+              static_cast<double>(std::fabs(kahan.value() - want) / scale));
+        }
+      }
+    }
+  }
+  std::ostringstream figures;
+  figures << std::scientific << worst_sparse << " " << worst_dense;
+  RecordProperty("worst_sparse_vs_dense_kahan", figures.str());
+  EXPECT_LE(worst_sparse, worst_dense)
+      << "sparse " << worst_sparse << " vs dense Kahan " << worst_dense;
 }
 
 }  // namespace

@@ -102,7 +102,7 @@ TEST_P(SynopsisServeDifferentialTest, ServedQueriesMatchConstructionBitwise) {
     }
 
     // Range sums and averages, bit for bit against the construction-side
-    // arithmetic (same loop order, same Kahan accumulation).
+    // estimators, which the server calls on the decoded objects.
     for (auto [a, b] : ProbeRanges(n, seed)) {
       const double want_h = hist->histogram.EstimateRangeSum(a, b);
       const double want_w = wave->wavelet.EstimateRangeSum(a, b);
@@ -141,8 +141,8 @@ TEST_P(SynopsisServeDifferentialTest, ServedQueriesMatchConstructionBitwise) {
     }
 
     // Forcing the scalar SIMD path must not change a single served bit
-    // (serving replays fixed arithmetic; dispatch-sensitive code is all on
-    // the construction side).
+    // (the estimators are fixed scalar arithmetic; dispatch-sensitive code
+    // is all in the DP solvers).
     {
       probsyn::testing::ScopedSimdPath scalar(SimdPath::kScalar);
       for (std::size_t i = 0; i < n; i += 7) {
